@@ -44,8 +44,8 @@ const HELP: &str = "dcrender — isosurface rendering on an emulated heterogeneo
 
 USAGE: dcrender [FLAGS]
 
-  --nodes N        cluster size (default 4)
-  --grid N         volume cells per axis (default 64)
+  --nodes N        cluster size, at least 1 (default 4)
+  --grid N         volume cells per axis, 1..=1024 (default 64)
   --image N        output image width=height (default 512)
   --iso V          isosurface value (default 0.5)
   --species N      chemical species 0..3 (default 0)
@@ -70,6 +70,11 @@ USAGE: dcrender [FLAGS]
   --plan           let the planner choose grouping/placement/policy
   --verbose        print per-copy metrics and host utilization
   --help           this text";
+
+/// Largest `--grid`: 1025³ points are already 4.3 GB per generated field.
+const MAX_GRID: u32 = 1024;
+
+const USAGE: &str = "usage: dcrender [FLAGS] (dcrender --help lists them)";
 
 fn parse_args() -> Args {
     let mut a = Args {
@@ -104,32 +109,25 @@ fn parse_args() -> Args {
         })
     };
     while i < argv.len() {
-        match argv[i].as_str() {
-            "--nodes" => a.nodes = next(&mut i).parse().expect("--nodes"),
-            "--grid" => a.grid = next(&mut i).parse().expect("--grid"),
-            "--image" => a.image = next(&mut i).parse().expect("--image"),
-            "--iso" => a.iso = next(&mut i).parse().expect("--iso"),
-            "--species" => a.species = next(&mut i).parse().expect("--species"),
-            "--timestep" => a.timestep = next(&mut i).parse().expect("--timestep"),
-            "--seed" => a.seed = next(&mut i).parse().expect("--seed"),
+        let flag = argv[i].as_str();
+        match flag {
+            "--nodes" => a.nodes = parse_flag(flag, next(&mut i)),
+            "--grid" => a.grid = parse_flag(flag, next(&mut i)),
+            "--image" => a.image = parse_flag(flag, next(&mut i)),
+            "--iso" => a.iso = parse_flag(flag, next(&mut i)),
+            "--species" => a.species = parse_flag(flag, next(&mut i)),
+            "--timestep" => a.timestep = parse_flag(flag, next(&mut i)),
+            "--seed" => a.seed = parse_flag(flag, next(&mut i)),
             "--grouping" => a.grouping = next(&mut i),
             "--policy" => a.policy = next(&mut i),
             "--algorithm" => a.algorithm = next(&mut i),
             "--executor" => a.executor = next(&mut i),
-            "--workers" => a.workers = next(&mut i).parse().expect("--workers"),
-            "--memory-budget" => a.memory_budget = next(&mut i).parse().expect("--memory-budget"),
-            "--cache-capacity" => {
-                a.cache_capacity = next(&mut i).parse().expect("--cache-capacity")
-            }
-            "--prefetch-depth" => {
-                a.prefetch_depth = next(&mut i).parse().expect("--prefetch-depth")
-            }
-            "--storage-faults" => {
-                a.storage_faults = Some(next(&mut i).parse().expect("--storage-faults"))
-            }
-            "--storage-retries" => {
-                a.storage_retries = Some(next(&mut i).parse().expect("--storage-retries"))
-            }
+            "--workers" => a.workers = parse_flag(flag, next(&mut i)),
+            "--memory-budget" => a.memory_budget = parse_flag(flag, next(&mut i)),
+            "--cache-capacity" => a.cache_capacity = parse_flag(flag, next(&mut i)),
+            "--prefetch-depth" => a.prefetch_depth = parse_flag(flag, next(&mut i)),
+            "--storage-faults" => a.storage_faults = Some(parse_flag(flag, next(&mut i))),
+            "--storage-retries" => a.storage_retries = Some(parse_flag(flag, next(&mut i))),
             "--out" => a.out = next(&mut i),
             "--plan" => a.plan = true,
             "--verbose" => a.verbose = true,
@@ -144,7 +142,25 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
+    // Values that parse but that the cluster and dataset builders reject.
+    if a.nodes == 0 {
+        invalid("--nodes", "0");
+    }
+    if !(1..=MAX_GRID).contains(&a.grid) {
+        invalid("--grid", &a.grid.to_string());
+    }
     a
+}
+
+/// Parse `value` given for `flag`, or reject it through [`invalid`].
+fn parse_flag<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value.parse().unwrap_or_else(|_| invalid(flag, &value))
+}
+
+/// Report the flag, its bad value and a usage line, and exit with status 2.
+fn invalid(flag: &str, value: &str) -> ! {
+    eprintln!("invalid value {value:?} for {flag}\n{USAGE}");
+    exit(2);
 }
 
 fn main() {

@@ -22,14 +22,26 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations made by the current thread alone.
+    static THREAD_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    // A const-initialised `Cell` has no destructor, so this never fails;
+    // `try_with` keeps the allocator panic-free regardless.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -40,6 +52,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `ALLOCS` is process-global and libtest runs this file's tests on
+/// parallel threads, so an allocation made by one test would land in
+/// another's measured window. Every test holds this lock for its whole
+/// body (warm-up run, measured run pair, asserts), so each measurement has
+/// the allocator to itself.
+static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Take [`MEASURE`]. A failed neighbour poisons it; the lock guards no
+/// data, so the poison is ignored.
+fn measure_alone() -> std::sync::MutexGuard<'static, ()> {
+    MEASURE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn topology_n(n: usize) -> (hetsim::Topology, Vec<HostId>) {
     let mut b = TopologyBuilder::new();
@@ -153,11 +180,13 @@ fn assert_zero_marginal_allocs(policy: WritePolicy) {
 
 #[test]
 fn round_robin_delivery_steady_state_is_allocation_free() {
+    let _alone = measure_alone();
     assert_zero_marginal_allocs(WritePolicy::RoundRobin);
 }
 
 #[test]
 fn demand_driven_delivery_steady_state_is_allocation_free() {
+    let _alone = measure_alone();
     assert_zero_marginal_allocs(WritePolicy::demand_driven());
 }
 
@@ -218,6 +247,7 @@ fn run_once_lossless(policy: WritePolicy, n: u32) -> (u64, u64) {
 /// 1800 extra buffers, well inside the same sliver budget.
 #[test]
 fn lossless_retention_steady_state_is_allocation_free() {
+    let _alone = measure_alone();
     const SMALL: u32 = 200;
     const LARGE: u32 = 2000;
     for policy in [WritePolicy::RoundRobin, WritePolicy::demand_driven()] {
@@ -307,6 +337,7 @@ fn run_once_tiled(n: u32) -> (u64, u64) {
 /// allocating per fragment.
 #[test]
 fn tile_hash_delivery_steady_state_is_allocation_free() {
+    let _alone = measure_alone();
     const SMALL: u32 = 200;
     const LARGE: u32 = 2000;
     let _ = run_once_tiled(SMALL);
@@ -353,21 +384,25 @@ fn warm_cache(n: u32) -> Arc<ChunkCache> {
 
 /// A cache hit is an `Arc` clone: strictly zero heap allocations, not
 /// just amortized-zero. This is the direct proof behind the cache module
-/// docs' claim.
+/// docs' claim. A hit runs entirely on the calling thread, so the window
+/// counts that thread's allocations: the test harness's own threads
+/// finish the previous test while this window is open, and [`MEASURE`]
+/// cannot cover work they do after a test function returns.
 #[test]
 fn warm_cache_hits_are_strictly_allocation_free() {
+    let _alone = measure_alone();
     let cache = warm_cache(8);
     // Warm the lock and the counter cachelines.
     for c in 0..8 {
         assert!(cache.get(cache_key(c)).is_some());
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = THREAD_ALLOCS.with(|n| n.get());
     let mut touched = 0u64;
     for i in 0..10_000u32 {
         let g = cache.get(cache_key(i % 8)).expect("warm entry");
         touched = touched.wrapping_add(g.data[0] as u64);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = THREAD_ALLOCS.with(|n| n.get());
     assert_eq!(
         after - before,
         0,
@@ -449,6 +484,7 @@ fn expected_cached_sum(n: u32) -> u64 {
 /// per-chunk heap traffic on top of it.
 #[test]
 fn warm_cache_delivery_steady_state_is_allocation_free() {
+    let _alone = measure_alone();
     const SMALL: u32 = 200;
     const LARGE: u32 = 2000;
     for policy in [WritePolicy::RoundRobin, WritePolicy::demand_driven()] {

@@ -298,6 +298,15 @@ fn tasked_lossless_mid_run_crash_recovers() {
     let (topo, hosts) = cluster(5);
     let cfg = test_cfg(test_dataset(7), vec![hosts[0]], 96);
     let spec = recovery_spec(&hosts, WritePolicy::demand_driven());
+    // Time the crash off a warm run. The first run also generates the
+    // dataset's fields, which made it about 2.7x as long as a warm run on
+    // a 2-vCPU host, so a quarter of it can land near the end of the
+    // faulted run: after the victim drained its queue (nothing to kill)
+    // or after the surviving extract copy finished (no live consumer left
+    // for the victim's backlog). Neither is the mid-run crash this test is
+    // about.
+    dcapp::run_pipeline_exec(&topo, &cfg, &spec, TaskedExecutor::with_workers(2))
+        .expect("warm-up tasked run");
     let clean = dcapp::run_pipeline_exec(&topo, &cfg, &spec, TaskedExecutor::with_workers(2))
         .expect("fault-free tasked run");
     let crash_at = SimTime::ZERO + clean.elapsed.mul_f64(0.25);
