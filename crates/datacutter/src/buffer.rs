@@ -312,8 +312,8 @@ impl std::fmt::Debug for DataBuffer {
 /// keeps the erased boxes of consumed buffers in per-type free lists so the
 /// next `make` of the same payload type overwrites a recycled box in place
 /// instead of allocating. Payload *contents* are still moved in/out normally
-/// (so interior `Vec`s recycle through their own [`BufferPool`]s); only the
-/// outer box round-trips through the slab.
+/// (so interior `Vec`s recycle through their own pools, such as `dcapp`'s
+/// `BufferPool`); only the outer box round-trips through the slab.
 ///
 /// Clones share the same free lists, so one slab created at run build time
 /// can be handed to every filter copy. The slab is purely an allocation

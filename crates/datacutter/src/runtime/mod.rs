@@ -146,10 +146,9 @@ impl From<TaskedExecutor> for ExecutorChoice {
 /// A deferred simulation-setup hook (the `Run::setup` option).
 type SetupFn = Box<dyn FnOnce(&mut Simulation)>;
 
-/// Builder for one pipeline run. Replaces the former `run_app` /
-/// `run_app_uows` / `run_app_traced` / `run_app_with` / `run_app_faulted`
-/// free functions with one composable entry point — every option can be
-/// combined (e.g. trace + faults + custom setup in the same run).
+/// Builder for one pipeline run: the one entry point, in which every
+/// option can be combined (e.g. trace + faults + custom setup in the same
+/// run).
 ///
 /// Defaults: one unit of work, the virtual-time [`SimExecutor`], no trace,
 /// no faults, and the documented default capacities.
@@ -320,61 +319,40 @@ impl Run {
             self.tuning.outbox_capacity >= 1 && self.tuning.courier_capacity >= 1,
             "channel capacities must be at least 1"
         );
+        if self.setup.is_some() && !matches!(self.executor, ExecutorChoice::Sim(_)) {
+            return Err(RunError::Unsupported {
+                what: "simulation setup hooks require the virtual-time SimExecutor".into(),
+            });
+        }
         silence_sentinel_panics();
-        let graph = Arc::new(self.graph);
-        let fault_ctl: Option<Arc<FaultCtl>> = self.faults.as_ref().map(FaultCtl::new);
+        let opts = RunOpts {
+            graph: Arc::new(self.graph),
+            uows: self.uows,
+            trace: self.trace,
+            fault_ctl: self.faults.as_ref().map(FaultCtl::new),
+            tuning: self.tuning,
+        };
+        // Crashes, stalls, drops, delays, degradation windows and
+        // supervision are pure time-indexed queries consulted by the
+        // runtime machinery, so they work on wall-clock time too
+        // (degradation is emulated by sender-side stalls — see
+        // `delivery::spawn_sender`). Only the prep below is per executor.
         match self.executor {
             ExecutorChoice::Sim(mut exec) => {
                 if let Some(setup) = self.setup {
                     setup(exec.simulation_mut());
                 }
-                if let Some(ctl) = &fault_ctl {
-                    // Spawns the NIC-degradation drivers; crashes, stalls
-                    // and drops are pure time-indexed queries consulted by
-                    // the runtime machinery.
+                if let Some(ctl) = &opts.fault_ctl {
+                    // Spawns the NIC-degradation drivers.
                     ctl.plan.install(exec.simulation_mut(), topo);
                 }
-                drive(
-                    exec,
-                    topo,
-                    graph,
-                    self.uows,
-                    self.trace,
-                    fault_ctl,
-                    self.tuning,
-                )
+                drive(exec, topo, opts)
             }
-            ExecutorChoice::Native(exec) => {
-                // Crashes, stalls, drops, delays, degradation windows and
-                // supervision are pure time-indexed queries consulted by
-                // the runtime machinery and work on wall-clock time too
-                // (degradation is emulated by sender-side stalls — see
-                // `delivery::spawn_sender`).
-                if self.setup.is_some() {
-                    return Err(RunError::Unsupported {
-                        what: "simulation setup hooks require the virtual-time SimExecutor".into(),
-                    });
-                }
-                drive(
-                    exec,
-                    topo,
-                    graph,
-                    self.uows,
-                    self.trace,
-                    fault_ctl,
-                    self.tuning,
-                )
-            }
+            ExecutorChoice::Native(exec) => drive(exec, topo, opts),
             ExecutorChoice::Tasked(mut exec) => {
-                // Same wall-clock semantics as Native; only the blocking
-                // substrate differs (waker-parked tasks over a pool).
-                if self.setup.is_some() {
-                    return Err(RunError::Unsupported {
-                        what: "simulation setup hooks require the virtual-time SimExecutor".into(),
-                    });
-                }
                 if let Some(cap) = exec.task_cap() {
-                    let copies: usize = graph
+                    let copies: usize = opts
+                        .graph
                         .filters
                         .iter()
                         .map(|f| f.placement.total_copies() as usize)
@@ -393,30 +371,30 @@ impl Run {
                     // must not re-count those against the same cap.
                     exec.clear_task_cap();
                 }
-                drive(
-                    exec,
-                    topo,
-                    graph,
-                    self.uows,
-                    self.trace,
-                    fault_ctl,
-                    self.tuning,
-                )
+                drive(exec, topo, opts)
             }
         }
     }
 }
 
-/// Wire, run, and harvest on any executor.
-fn drive<E: Executor>(
-    mut exec: E,
-    topo: &Topology,
+/// The executor-independent options of a [`Run`], as [`drive`] uses them.
+struct RunOpts {
     graph: Arc<AppGraph>,
     uows: u32,
     trace: Option<hetsim::Trace>,
     fault_ctl: Option<Arc<FaultCtl>>,
     tuning: Tuning,
-) -> Result<RunReport, RunError> {
+}
+
+/// Wire, run, and harvest on any executor.
+fn drive<E: Executor>(mut exec: E, topo: &Topology, opts: RunOpts) -> Result<RunReport, RunError> {
+    let RunOpts {
+        graph,
+        uows,
+        trace,
+        fault_ctl,
+        tuning,
+    } = opts;
     let error_cell: ErrorCell = Arc::new(Mutex::new(None));
     // Out-of-core context: one ledger + one storage controller for the
     // whole run, created only when a budget was configured (the
@@ -580,60 +558,4 @@ fn silence_sentinel_panics() {
             }
         }));
     });
-}
-
-// ---- deprecated compatibility wrappers -----------------------------------
-
-/// Execute one unit of work of `graph` on `topo`.
-#[deprecated(since = "0.2.0", note = "use `Run::new(graph).go(topo)`")]
-pub fn run_app(topo: &Topology, graph: AppGraph) -> Result<RunReport, RunError> {
-    Run::new(graph).go(topo)
-}
-
-/// Execute `uows` consecutive units of work.
-#[deprecated(since = "0.2.0", note = "use `Run::new(graph).uows(n).go(topo)`")]
-pub fn run_app_uows(topo: &Topology, graph: AppGraph, uows: u32) -> Result<RunReport, RunError> {
-    Run::new(graph).uows(uows).go(topo)
-}
-
-/// Execute `uows` units of work, recording spans into `trace`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Run::new(graph).uows(n).trace(t).go(topo)`"
-)]
-pub fn run_app_traced(
-    topo: &Topology,
-    graph: AppGraph,
-    uows: u32,
-    trace: hetsim::Trace,
-) -> Result<RunReport, RunError> {
-    Run::new(graph).uows(uows).trace(trace).go(topo)
-}
-
-/// Execute `uows` units of work after running `setup` on the simulation.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Run::new(graph).uows(n).setup(f).go(topo)`"
-)]
-pub fn run_app_with(
-    topo: &Topology,
-    graph: AppGraph,
-    uows: u32,
-    setup: impl FnOnce(&mut Simulation) + 'static,
-) -> Result<RunReport, RunError> {
-    Run::new(graph).uows(uows).setup(setup).go(topo)
-}
-
-/// Execute `uows` units of work under the fault plan in `opts`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Run::new(graph).uows(n).faults(opts).go(topo)`"
-)]
-pub fn run_app_faulted(
-    topo: &Topology,
-    graph: AppGraph,
-    uows: u32,
-    opts: FaultOptions,
-) -> Result<RunReport, RunError> {
-    Run::new(graph).uows(uows).faults(opts).go(topo)
 }

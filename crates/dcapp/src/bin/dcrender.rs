@@ -68,7 +68,8 @@ USAGE: dcrender [FLAGS]
                       (default 8, max 64)
   --out PATH       output PPM path (default render.ppm)
   --plan           let the planner choose grouping/placement/policy
-  --verbose        print per-copy metrics and host utilization
+  --verbose        print per-copy metrics, plus modelled host
+                   utilization under --executor sim
   --help           this text";
 
 /// Largest `--grid`: 1025³ points are already 4.3 GB per generated field.
@@ -328,8 +329,11 @@ fn main() {
                 (c.counters.read_wait + c.counters.write_wait).as_secs_f64()
             );
         }
-        for u in topo.utilization(r.elapsed) {
-            println!("  {u}");
+        // Host utilization is filled in only by the virtual-time model.
+        if cfg.executor == dcapp::ExecutorKind::Sim {
+            for u in topo.utilization(r.elapsed) {
+                println!("  {u}");
+            }
         }
     }
     r.image.save_ppm(&args.out).unwrap_or_else(|e| {

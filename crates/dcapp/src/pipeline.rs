@@ -111,7 +111,8 @@ pub struct Pipeline {
 /// # Panics
 ///
 /// On a config that fails [`AppConfig::validate`](crate::config::AppConfig::validate) —
-/// use [`try_build_pipeline`] to handle the [`ConfigError`] instead.
+/// use [`try_build_pipeline`] to handle the
+/// [`ConfigError`](crate::config::ConfigError) instead.
 pub fn build_pipeline(cfg: &SharedConfig, spec: &PipelineSpec) -> Pipeline {
     match try_build_pipeline(cfg, spec) {
         Ok(p) => p,
@@ -121,8 +122,9 @@ pub fn build_pipeline(cfg: &SharedConfig, spec: &PipelineSpec) -> Pipeline {
 
 /// [`build_pipeline`] with construction-time config validation: every
 /// sizing knob is checked before any filter factory runs, so a zero-sized
-/// batch or empty storage set is a structured [`ConfigError`] here rather
-/// than a panic or hang mid-run.
+/// batch or empty storage set is a structured
+/// [`ConfigError`](crate::config::ConfigError) here rather than a panic or
+/// hang mid-run.
 pub fn try_build_pipeline(
     cfg: &SharedConfig,
     spec: &PipelineSpec,

@@ -153,71 +153,16 @@ impl ActivePixelBuffer {
     }
 }
 
-/// Batch length below which [`merge_batch`] stays serial (a typical WPA
-/// buffer is a couple thousand entries — far too little to fan out).
-const PAR_MIN_BATCH: usize = 16 * 1024;
-
 /// Merge a batch of winning pixels into the final (dense) buffer held by
 /// the merge filter. Commutative and associative with z-buffer merging, so
 /// active-pixel and z-buffer pipelines produce identical images.
-///
-/// With the default-on `parallel` feature, very large batches fan out
-/// over image row bands on the
-/// [global pool](crate::par::ThreadPool::global), bit-identical to
-/// [`merge_batch_serial`].
 pub fn merge_batch(target: &mut ZBuffer, batch: &[WinningPixel]) {
-    #[cfg(feature = "parallel")]
-    {
-        let pool = crate::par::ThreadPool::global();
-        if pool.threads() > 1 && batch.len() >= PAR_MIN_BATCH && target.height >= 2 {
-            return merge_batch_with(pool, target, batch);
-        }
-    }
-    merge_batch_serial(target, batch);
-}
-
-/// Serial reference batch merge; always available.
-pub fn merge_batch_serial(target: &mut ZBuffer, batch: &[WinningPixel]) {
     for wp in batch {
         target.plot(wp.x as u32, wp.y as u32, wp.depth, wp.rgb);
     }
 }
 
-/// [`merge_batch`] on an explicit pool: each lane scans the whole batch
-/// and applies only the entries whose row falls in its band. Per-pixel
-/// candidate order is therefore exactly the batch order — the same order
-/// the serial kernel applies — so the result is bit-identical regardless
-/// of thread count.
-pub fn merge_batch_with(
-    pool: &crate::par::ThreadPool,
-    target: &mut ZBuffer,
-    batch: &[WinningPixel],
-) {
-    if pool.threads() <= 1 {
-        return merge_batch_serial(target, batch);
-    }
-    let w = target.width as usize;
-    let depth = crate::par::SendPtr::new(target.depth.as_mut_ptr());
-    let color = crate::par::SendPtr::new(target.color.as_mut_ptr());
-    crate::par::for_each_band(pool, target.height as usize, &|_, rows| {
-        for wp in batch {
-            let y = wp.y as usize;
-            if y >= rows.start && y < rows.end {
-                let i = y * w + wp.x as usize;
-                // SAFETY: row bands are disjoint, so pixel `i` is owned by
-                // exactly one lane.
-                unsafe {
-                    if wp.depth < *depth.get().add(i) {
-                        *depth.get().add(i) = wp.depth;
-                        *color.get().add(i) = wp.rgb;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// [`merge_batch_serial`] with a row offset: plot each winning pixel at
+/// [`merge_batch`] with a row offset: plot each winning pixel at
 /// `(x, y - y_offset)` of `target`. This is the WPA kernel of tile-owned
 /// compositing — a merge copy holds one small [`ZBuffer`] per owned tile
 /// (a row strip of the image) and folds batches whose entries all fall in
@@ -254,7 +199,7 @@ mod tests {
             });
         }
         let mut whole = ZBuffer::new(8, 12);
-        merge_batch_serial(&mut whole, &batch);
+        merge_batch(&mut whole, &batch);
 
         let mut tiles: Vec<ZBuffer> = (0..3).map(|_| ZBuffer::new(8, 4)).collect();
         for wp in &batch {
@@ -413,34 +358,6 @@ mod tests {
                 addrs.contains(&v.as_ptr()),
                 "flush allocated a fresh vector"
             );
-        }
-    }
-
-    #[test]
-    fn parallel_merge_batch_is_bit_identical_to_serial() {
-        // Duplicate positions with equal depths force tie-break coverage;
-        // candidate order must decide, exactly as in the serial kernel.
-        let mut batch = Vec::new();
-        let mut s = 42u64;
-        for _ in 0..20_000 {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let r = (s >> 33) as u32;
-            batch.push(WinningPixel {
-                x: (r % 64) as u16,
-                y: ((r >> 8) % 96) as u16,
-                depth: ((r >> 16) % 8) as f32,
-                rgb: [r as u8, (r >> 8) as u8, (r >> 16) as u8],
-            });
-        }
-        let mut serial = ZBuffer::new(64, 96);
-        merge_batch_serial(&mut serial, &batch);
-        for threads in [1usize, 2, 3, 4] {
-            let pool = crate::par::ThreadPool::new(threads);
-            let mut par = ZBuffer::new(64, 96);
-            merge_batch_with(&pool, &mut par, &batch);
-            assert_eq!(serial, par, "{threads} threads");
         }
     }
 

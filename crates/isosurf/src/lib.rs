@@ -19,15 +19,11 @@
 //! tetrahedral decomposition (watertight across chunk boundaries); see the
 //! module docs for the rationale.
 //!
-//! All compute kernels are data-parallel on large inputs via the
-//! dependency-free fork/join pool in [`par`], and every parallel
-//! decomposition is bit-identical to its serial counterpart (the
-//! `*_serial` functions). The default-on `parallel` cargo feature gates
-//! only whether the plain entry points (`extract`, `ZBuffer::merge`,
-//! `merge_batch`, `merge_many`) auto-parallelize on the global pool;
-//! disabling it leaves them fully serial. Explicit-pool variants
-//! (`*_with`) are always available.
+//! Every kernel is plain serial code. Parallelism comes from the
+//! pipeline's transparent filter copies, as in the paper, not from
+//! threads inside a kernel.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod active;
@@ -35,28 +31,22 @@ pub mod camera;
 pub mod image;
 pub mod math;
 pub mod mc;
-pub mod par;
 pub mod raster;
 pub mod render;
 pub mod shade;
 pub mod zbuf;
 
 pub use active::{
-    merge_batch, merge_batch_offset, merge_batch_serial, merge_batch_with, ActivePixelBuffer,
-    WinningPixel, WPA_ENTRY_WIRE_BYTES,
+    merge_batch, merge_batch_offset, ActivePixelBuffer, WinningPixel, WPA_ENTRY_WIRE_BYTES,
 };
 pub use camera::{Camera, Projector, ScreenVertex};
 pub use image::Image;
 pub use math::{vec3, Mat4, Vec3};
-pub use mc::{
-    extract, extract_serial, extract_with, ExtractScratch, ExtractStats, Triangle,
-    TRIANGLE_WIRE_BYTES,
-};
-pub use par::ThreadPool;
+/// The same function as [`extract`], kept under its old name for callers
+/// that still use it.
+pub use mc::extract as extract_serial;
+pub use mc::{extract, ExtractStats, Triangle, TRIANGLE_WIRE_BYTES};
 pub use raster::{fill_triangle, raster_triangle, RasterStats};
-pub use render::{render_active_pixel, render_zbuffer, render_zbuffer_with, BACKGROUND};
+pub use render::{render_active_pixel, render_zbuffer, BACKGROUND};
 pub use shade::{shade, species_material, Material};
-pub use zbuf::{
-    merge_many, merge_many_serial, merge_many_with, merge_rows, ZBuffer, EMPTY_DEPTH,
-    ZBUF_ENTRY_WIRE_BYTES,
-};
+pub use zbuf::{merge_rows, ZBuffer, EMPTY_DEPTH, ZBUF_ENTRY_WIRE_BYTES};

@@ -20,7 +20,7 @@
 //! scan tests that condition over ever smaller blocks of samples and skips
 //! a block, with every cell in it, as soon as the block does not straddle:
 //!
-//! 1. the slab's point planes `z_range.start ..= z_range.end`;
+//! 1. the whole grid;
 //! 2. each cell layer (its two point planes);
 //! 3. each cell row (its four point rows, read as slices);
 //! 4. each cell, whose corner values come from those row slices.
@@ -79,140 +79,33 @@ fn corner_offset(i: usize) -> (u32, u32, u32) {
     ((i & 1) as u32, ((i >> 1) & 1) as u32, ((i >> 2) & 1) as u32)
 }
 
-/// Cells below which [`extract`] stays serial: slab fan-out costs more
-/// than it saves on small grids (a pipeline chunk is typically a few
-/// hundred cells).
-const PAR_MIN_CELLS: u64 = 16 * 1024;
-
 /// Extract the isosurface of `grid` at `iso`, with the grid's point
 /// `(0,0,0)` located at world position `origin` (chunks pass their global
 /// cell origin so surfaces from different chunks line up). Triangles are
-/// appended to `out`; returns scan statistics.
-///
-/// With the default-on `parallel` feature, large grids are decomposed
-/// into z-slabs extracted on the [global pool](crate::par::ThreadPool::global)
-/// and spliced back in slab order, which is bit-identical to
-/// [`extract_serial`]. Use [`extract_with`] to control the pool and reuse
-/// slab scratch buffers across calls.
+/// appended to `out`; returns scan statistics. Every block that cannot
+/// cross `iso` is skipped (see the module docs).
 pub fn extract(
     grid: &RectGrid,
     origin: (u32, u32, u32),
     iso: f32,
     out: &mut Vec<Triangle>,
 ) -> ExtractStats {
-    #[cfg(feature = "parallel")]
-    {
-        let pool = crate::par::ThreadPool::global();
-        if pool.threads() > 1 && grid.dims.cells() >= PAR_MIN_CELLS {
-            let mut scratch = ExtractScratch::default();
-            return extract_with(pool, &mut scratch, grid, origin, iso, out);
-        }
-    }
-    extract_serial(grid, origin, iso, out)
-}
-
-/// Serial reference extraction; always available, bit-identical to the
-/// parallel path.
-pub fn extract_serial(
-    grid: &RectGrid,
-    origin: (u32, u32, u32),
-    iso: f32,
-    out: &mut Vec<Triangle>,
-) -> ExtractStats {
     let d = grid.dims;
     if d.nx < 2 || d.ny < 2 || d.nz < 2 {
         return ExtractStats::default();
     }
-    extract_slab(grid, origin, iso, 0..d.nz - 1, out)
-}
-
-/// Reusable per-slab output buffers for [`extract_with`]: hold one across
-/// calls (e.g. per extract-filter copy) and the steady state allocates
-/// nothing.
-#[derive(Default)]
-pub struct ExtractScratch {
-    slabs: Vec<std::sync::Mutex<(Vec<Triangle>, ExtractStats)>>,
-}
-
-/// [`extract`] with an explicit pool and reusable slab scratch. Slabs are
-/// claimed work-stealing style (density varies across z), but results are
-/// spliced in slab index order, so output order — and every triangle bit —
-/// matches [`extract_serial`].
-pub fn extract_with(
-    pool: &crate::par::ThreadPool,
-    scratch: &mut ExtractScratch,
-    grid: &RectGrid,
-    origin: (u32, u32, u32),
-    iso: f32,
-    out: &mut Vec<Triangle>,
-) -> ExtractStats {
-    let d = grid.dims;
-    if d.nx < 2 || d.ny < 2 || d.nz < 2 {
-        return ExtractStats::default();
-    }
-    let z_cells = (d.nz - 1) as usize;
-    let threads = pool.threads();
-    if threads <= 1 || grid.dims.cells() < PAR_MIN_CELLS || z_cells < 2 {
-        return extract_slab(grid, origin, iso, 0..d.nz - 1, out);
-    }
-    // More slabs than lanes smooths out the load imbalance from uneven
-    // triangle density; ×4 is plenty without fragmenting the splice.
-    let n_slabs = z_cells.min(threads * 4);
-    if scratch.slabs.len() < n_slabs {
-        scratch.slabs.resize_with(n_slabs, Default::default);
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slabs = &scratch.slabs;
-    pool.broadcast(&|_| loop {
-        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if i >= n_slabs {
-            break;
-        }
-        let band = crate::par::band_of(z_cells, n_slabs, i);
-        let mut slot = slabs[i].lock().expect("slab slot");
-        slot.0.clear();
-        slot.1 = extract_slab(
-            grid,
-            origin,
-            iso,
-            band.start as u32..band.end as u32,
-            &mut slot.0,
-        );
-    });
-    let mut stats = ExtractStats::default();
-    for slab in &scratch.slabs[..n_slabs] {
-        let slot = slab.lock().expect("slab slot");
-        stats.cells += slot.1.cells;
-        stats.triangles += slot.1.triangles;
-        out.extend_from_slice(&slot.0);
-    }
-    stats
-}
-
-/// Scan cells with `z` in `z_range` (the serial kernel over one slab),
-/// skipping every block that cannot cross `iso` (see the module docs).
-fn extract_slab(
-    grid: &RectGrid,
-    origin: (u32, u32, u32),
-    iso: f32,
-    z_range: std::ops::Range<u32>,
-    out: &mut Vec<Triangle>,
-) -> ExtractStats {
-    let d = grid.dims;
     let mut stats = ExtractStats {
-        cells: (d.nx - 1) as u64 * (d.ny - 1) as u64 * z_range.len() as u64,
+        cells: d.cells(),
         triangles: 0,
     };
     let (nx, ny) = (d.nx as usize, d.ny as usize);
     let plane = nx * ny;
-    // The slab's point planes z_range.start ..= z_range.end.
-    let slab = &grid.data[z_range.start as usize * plane..(z_range.end as usize + 1) * plane];
-    if z_range.is_empty() || sides(slab, iso) != STRADDLES {
+    if sides(&grid.data[..d.nz as usize * plane], iso) != STRADDLES {
         return stats;
     }
     let mut corner_val = [0.0f32; 8];
     let mut corner_pos = [Vec3::ZERO; 8];
-    for z in z_range {
+    for z in 0..d.nz - 1 {
         // The cell layer's two point planes.
         let layer = &grid.data[z as usize * plane..][..2 * plane];
         if sides(layer, iso) != STRADDLES {
@@ -621,30 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_extract_is_bit_identical_to_serial() {
-        // 32³ cells — above PAR_MIN_CELLS so the slab path really runs.
-        let g = sphere_grid(33, 10.0);
-        let mut serial = Vec::new();
-        let s_stats = extract_serial(&g, (5, 6, 7), 0.0, &mut serial);
-        for threads in [1usize, 2, 3, 4] {
-            let pool = crate::par::ThreadPool::new(threads);
-            let mut scratch = ExtractScratch::default();
-            let mut par_out = Vec::new();
-            let p_stats = extract_with(&pool, &mut scratch, &g, (5, 6, 7), 0.0, &mut par_out);
-            assert_eq!(s_stats, p_stats, "{threads} threads");
-            assert_eq!(serial.len(), par_out.len(), "{threads} threads");
-            assert!(
-                serial.iter().zip(&par_out).all(|(a, b)| a == b),
-                "{threads} threads: triangle mismatch"
-            );
-            // Scratch reuse must not change the result.
-            let mut again = Vec::new();
-            extract_with(&pool, &mut scratch, &g, (5, 6, 7), 0.0, &mut again);
-            assert!(serial.iter().zip(&again).all(|(a, b)| a == b));
-        }
-    }
-
-    #[test]
     fn case_table_matches_bitcount_semantics() {
         for (mask, case) in TET_CASES.iter().enumerate() {
             assert_eq!(case.n_in as u32, (mask as u32).count_ones());
@@ -803,10 +672,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The culled scan emits exactly the oracle's triangles and stats,
-        /// serially and split into slabs on 1–4 threads. `shape` forces a
-        /// thin axis (0–2), a grid big enough for the slab path with rows
-        /// longer than 64 points (3), or keeps the drawn dims (4).
+        /// The culled scan emits exactly the oracle's triangles and stats.
+        /// `shape` forces a thin axis (0–2), a grid of more than 16k cells
+        /// with rows longer than 64 points (3), or keeps the drawn dims (4).
         #[test]
         fn culled_extract_matches_per_cell_oracle(
             kind in 0u32..4, shape in 0u32..5,
@@ -830,22 +698,10 @@ mod tests {
             let want = triangle_bits(&want);
 
             let mut got = Vec::new();
-            let stats = extract_serial(&grid, origin, iso, &mut got);
+            let stats = extract(&grid, origin, iso, &mut got);
             prop_assert_eq!(stats, want_stats);
-            prop_assert!(triangle_bits(&got) == want, "serial: triangle bits differ");
+            prop_assert!(triangle_bits(&got) == want, "triangle bits differ");
 
-            for threads in 1..=4 {
-                let pool = crate::par::ThreadPool::new(threads);
-                let mut got = Vec::new();
-                let stats =
-                    extract_with(&pool, &mut ExtractScratch::default(), &grid, origin, iso, &mut got);
-                prop_assert_eq!(stats, want_stats);
-                prop_assert!(
-                    triangle_bits(&got) == want,
-                    "{} threads: triangle bits differ",
-                    threads
-                );
-            }
         }
     }
 }

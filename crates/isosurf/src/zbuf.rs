@@ -18,10 +18,6 @@ pub const ZBUF_ENTRY_WIRE_BYTES: u64 = 8;
 /// Depth value of an untouched (inactive) pixel.
 pub const EMPTY_DEPTH: f32 = f32::INFINITY;
 
-/// Pixels below which [`ZBuffer::merge`] stays serial (band fan-out costs
-/// more than the fold on small images).
-const PAR_MIN_PIXELS: usize = 64 * 1024;
-
 /// A dense depth+color buffer over the whole image plane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZBuffer {
@@ -68,24 +64,8 @@ impl ZBuffer {
     }
 
     /// Fold `other` into `self`, keeping the nearest surface per pixel.
-    ///
-    /// With the default-on `parallel` feature, large buffers merge in
-    /// row bands on the [global pool](crate::par::ThreadPool::global);
-    /// the depth test is element-wise, so the result is bit-identical to
-    /// [`merge_serial`](Self::merge_serial).
+    /// Ties keep `self` (strict `<` test).
     pub fn merge(&mut self, other: &ZBuffer) {
-        #[cfg(feature = "parallel")]
-        {
-            let pool = crate::par::ThreadPool::global();
-            if pool.threads() > 1 && self.depth.len() >= PAR_MIN_PIXELS {
-                return self.merge_with(pool, other);
-            }
-        }
-        self.merge_serial(other);
-    }
-
-    /// Serial reference merge; always available.
-    pub fn merge_serial(&mut self, other: &ZBuffer) {
         assert_eq!(
             (self.width, self.height),
             (other.width, other.height),
@@ -97,40 +77,6 @@ impl ZBuffer {
                 self.color[i] = other.color[i];
             }
         }
-    }
-
-    /// [`merge`](Self::merge) on an explicit pool: each lane folds one
-    /// contiguous band of pixels. Ties keep `self` (strict `<` test), same
-    /// as the serial kernel, and bands are disjoint, so the result is
-    /// bit-identical regardless of thread count.
-    pub fn merge_with(&mut self, pool: &crate::par::ThreadPool, other: &ZBuffer) {
-        assert_eq!(
-            (self.width, self.height),
-            (other.width, other.height),
-            "size mismatch"
-        );
-        if pool.threads() <= 1 {
-            return self.merge_serial(other);
-        }
-        let len = self.depth.len();
-        let depth = crate::par::SendPtr::new(self.depth.as_mut_ptr());
-        let color = crate::par::SendPtr::new(self.color.as_mut_ptr());
-        let od = &other.depth[..len];
-        let oc = &other.color[..len];
-        crate::par::for_each_band(pool, len, &|_, band| {
-            // SAFETY: bands are disjoint index ranges of `self`'s buffers,
-            // so each element is written by at most one lane.
-            let d =
-                unsafe { std::slice::from_raw_parts_mut(depth.get().add(band.start), band.len()) };
-            let c =
-                unsafe { std::slice::from_raw_parts_mut(color.get().add(band.start), band.len()) };
-            for (k, j) in band.enumerate() {
-                if od[j] < d[k] {
-                    d[k] = od[j];
-                    c[k] = oc[j];
-                }
-            }
-        });
     }
 
     /// Number of active (written) pixels.
@@ -152,69 +98,6 @@ impl ZBuffer {
             }
         }
         img
-    }
-}
-
-/// Reduce `bufs` into `bufs[0]`, keeping the nearest surface per pixel.
-///
-/// This is a plain serial left-to-right fold. An earlier revision
-/// auto-dispatched large inputs to the [`merge_many_with`] tree reduction,
-/// but BENCH_kernels.json showed the tree *regressing* the fold at every
-/// thread count tried (2–8 threads ≈ 36 ms vs ≈ 23 ms serial on the bench
-/// image): the kernel is memory-bound and the tree touches every
-/// intermediate buffer once per round instead of streaming each buffer
-/// through the single destination exactly once. The auto-dispatch (and its
-/// threshold plumbing) is retired; callers that really want the tree on an
-/// explicit pool can still call [`merge_many_with`] directly. The preferred
-/// way to parallelize merging is across *tiles* (disjoint image regions),
-/// not across buffers — see the tile-hash compositing pipeline in `dcapp`.
-pub fn merge_many(bufs: &mut [ZBuffer]) {
-    merge_many_serial(bufs);
-}
-
-/// Serial left-to-right fold of `bufs` into `bufs[0]`; always available.
-pub fn merge_many_serial(bufs: &mut [ZBuffer]) {
-    if bufs.is_empty() {
-        return;
-    }
-    let (dst, rest) = bufs.split_at_mut(1);
-    for b in rest {
-        dst[0].merge_serial(b);
-    }
-}
-
-/// [`merge_many`] on an explicit pool: a binary tree reduction with the
-/// pairs of each round merged concurrently (each pair serially). Round
-/// `g` merges buffer `i + g` into buffer `i` for `i ≡ 0 (mod 2g)`; the
-/// destination always has the lower index, so ties resolve exactly as in
-/// the serial fold.
-pub fn merge_many_with(pool: &crate::par::ThreadPool, bufs: &mut [ZBuffer]) {
-    let n = bufs.len();
-    if n < 2 {
-        return;
-    }
-    if pool.threads() <= 1 {
-        return merge_many_serial(bufs);
-    }
-    let ptr = crate::par::SendPtr::new(bufs.as_mut_ptr());
-    let mut gap = 1usize;
-    while gap < n {
-        let pairs: Vec<usize> = (0..n).step_by(2 * gap).filter(|i| i + gap < n).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        pool.broadcast(&|_| loop {
-            let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if k >= pairs.len() {
-                break;
-            }
-            let i = pairs[k];
-            // SAFETY: within a round, pair (i, i+gap) index sets are
-            // disjoint across pairs, so each buffer is touched by exactly
-            // one lane.
-            let dst = unsafe { &mut *ptr.get().add(i) };
-            let src = unsafe { &*ptr.get().add(i + gap) };
-            dst.merge_serial(src);
-        });
-        gap *= 2;
     }
 }
 
@@ -262,15 +145,18 @@ mod tests {
 
     #[test]
     fn merge_keeps_nearest_per_pixel() {
-        let mut a = ZBuffer::new(2, 1);
-        let mut b = ZBuffer::new(2, 1);
+        let mut a = ZBuffer::new(3, 1);
+        let mut b = ZBuffer::new(3, 1);
         a.plot(0, 0, 1.0, [1, 1, 1]);
         a.plot(1, 0, 9.0, [9, 9, 9]);
+        a.plot(2, 0, 4.0, [4, 4, 4]);
         b.plot(0, 0, 5.0, [5, 5, 5]);
         b.plot(1, 0, 2.0, [2, 2, 2]);
+        b.plot(2, 0, 4.0, [8, 8, 8]);
         a.merge(&b);
         assert_eq!(a.color[0], [1, 1, 1]);
         assert_eq!(a.color[1], [2, 2, 2]);
+        assert_eq!(a.color[2], [4, 4, 4], "equal depth keeps destination");
     }
 
     #[test]
@@ -345,63 +231,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merge_is_bit_identical_to_serial() {
-        let base = noisy(256, 300, 1); // ≥ PAR_MIN_PIXELS
-        let other = noisy(256, 300, 2);
-        let mut serial = base.clone();
-        serial.merge_serial(&other);
-        for threads in [1usize, 2, 3, 4] {
-            let pool = crate::par::ThreadPool::new(threads);
-            let mut par = base.clone();
-            par.merge_with(&pool, &other);
-            assert_eq!(serial, par, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn merge_many_tree_matches_serial_fold() {
-        for n in [1usize, 2, 3, 5, 8, 9] {
-            let bufs: Vec<ZBuffer> = (0..n).map(|i| noisy(64, 64, i as u64 + 10)).collect();
-            let mut serial = bufs.clone();
-            merge_many_serial(&mut serial);
-            for threads in [2usize, 4] {
-                let pool = crate::par::ThreadPool::new(threads);
-                let mut tree = bufs.clone();
-                merge_many_with(&pool, &mut tree);
-                assert_eq!(serial[0], tree[0], "n={n} threads={threads}");
-            }
-            // `merge_many` is the serial fold by definition now; keep the
-            // assertion so a future re-dispatch must stay bit-identical.
-            let mut auto = bufs.clone();
-            merge_many(&mut auto);
-            assert_eq!(serial[0], auto[0], "n={n} auto");
-        }
-    }
-
-    #[test]
-    fn merge_many_ties_keep_lowest_buffer_index() {
-        // All buffers plot the same pixel at the same depth; the serial
-        // fold keeps buffer 0, and the tree reduction must agree.
-        let mut bufs: Vec<ZBuffer> = (0..6)
-            .map(|i| {
-                let mut z = ZBuffer::new(4, 4);
-                z.plot(2, 2, 1.0, [i as u8, 0, 0]);
-                z
-            })
-            .collect();
-        let pool = crate::par::ThreadPool::new(4);
-        merge_many_with(&pool, &mut bufs);
-        assert_eq!(bufs[0].color[2 * 4 + 2], [0, 0, 0]);
-    }
-
-    #[test]
     fn merge_rows_matches_whole_buffer_merge() {
         // Splitting a buffer into row strips and compositing each strip at
         // its offset must equal merging the whole buffer at once.
         let base = noisy(16, 12, 40);
         let other = noisy(16, 12, 41);
         let mut whole = base.clone();
-        whole.merge_serial(&other);
+        whole.merge(&other);
         for strip in [1u32, 3, 5, 12] {
             let mut tiled = base.clone();
             let mut y = 0u32;

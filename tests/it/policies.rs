@@ -1,8 +1,5 @@
 //! End-to-end behaviour of the writer policies on the full application.
 
-// Deliberately exercises the deprecated `run_app` compatibility wrapper.
-#![allow(deprecated)]
-
 use datacutter::{Placement, WritePolicy};
 use dcapp::{Algorithm, Grouping, PipelineSpec};
 use integration_tests::{cluster, test_cfg, test_dataset};
@@ -156,7 +153,7 @@ fn dd_ack_traffic_is_visible_in_nic_counters() {
         let s = g.add_filter("src", Placement::on_host(hosts[0], 1), |_| Src);
         let k = g.add_filter("snk", Placement::on_host(hosts[1], 2), |_| Snk);
         g.connect(s, k, policy);
-        datacutter::run_app(&topo, g.build()).unwrap();
+        datacutter::Run::new(g.build()).go(&topo).unwrap();
         topo.nic_bytes(hosts[0]).1 // bytes RECEIVED by the producer host
     };
     let rr_rx = run(WritePolicy::RoundRobin);

@@ -1,13 +1,13 @@
-//! The [`datacutter::Run`] builder: option composition the former
-//! `run_app_*` free functions could not express (trace + faults + setup in
-//! one run), the promoted tuning knobs, and equivalence of the deprecated
-//! compatibility wrappers.
+//! The [`datacutter::Run`] builder: option composition (trace + faults +
+//! setup in one run), the promoted tuning knobs, and defaults that match
+//! the same options spelled out.
 
 use std::sync::Arc;
 
 use datacutter::{
     DataBuffer, FaultOptions, Filter, FilterCtx, FilterError, GraphBuilder, Placement, Run,
-    WritePolicy, DEFAULT_COURIER_CAPACITY,
+    SimExecutor, WritePolicy, DEFAULT_COURIER_CAPACITY, DEFAULT_OUTBOX_CAPACITY,
+    DEFAULT_RETRANSMIT_DELAY,
 };
 use hetsim::{spawn_load_generator, FaultPlan, LoadProfile, SimDuration, SimTime, Topology, Trace};
 use integration_tests::cluster;
@@ -73,10 +73,8 @@ fn workload(
     (g.build(), out)
 }
 
-/// Regression for the entry-point drift the former free functions forced:
-/// one run combining a trace, an injected host crash, AND a custom setup
-/// hook (a mid-run CPU storm) — a combination `run_app_traced` /
-/// `run_app_faulted` / `run_app_with` could only offer one at a time.
+/// One run combining a trace, an injected host crash, AND a custom setup
+/// hook (a mid-run CPU storm).
 #[test]
 fn trace_faults_and_setup_combine_in_one_run() {
     let (topo, hosts) = cluster(3);
@@ -149,23 +147,29 @@ fn outbox_capacity_is_tunable() {
     assert!(big.elapsed <= small.elapsed);
 }
 
-/// The deprecated free functions are thin wrappers over the builder:
-/// virtual-time determinism makes the equivalence exact.
+/// A run on the builder's defaults equals the same run with every default
+/// spelled out: virtual-time determinism makes the equivalence exact.
 #[test]
-#[allow(deprecated)]
-fn deprecated_wrappers_match_builder() {
-    let run_builder = || {
+fn explicit_defaults_match_builder_defaults() {
+    let run_defaults = || {
         let (topo, hosts) = cluster(3);
         let (graph, _) = workload(&topo, &hosts, 25);
         Run::new(graph).uows(2).go(&topo).unwrap()
     };
-    let run_wrapper = || {
+    let run_explicit = || {
         let (topo, hosts) = cluster(3);
         let (graph, _) = workload(&topo, &hosts, 25);
-        datacutter::run_app_uows(&topo, graph, 2).unwrap()
+        Run::new(graph)
+            .uows(2)
+            .executor(SimExecutor::new())
+            .outbox_capacity(DEFAULT_OUTBOX_CAPACITY)
+            .courier_capacity(DEFAULT_COURIER_CAPACITY)
+            .retransmit_delay(DEFAULT_RETRANSMIT_DELAY)
+            .go(&topo)
+            .unwrap()
     };
-    let a = run_builder();
-    let b = run_wrapper();
+    let a = run_defaults();
+    let b = run_explicit();
     assert_eq!(a.elapsed, b.elapsed);
     assert_eq!(a.events, b.events);
     assert_eq!(a.uow_boundaries, b.uow_boundaries);

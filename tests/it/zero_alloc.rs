@@ -1,21 +1,21 @@
 //! Proof that the E → Ra → M hot path reaches a zero-allocation steady
 //! state: after a warm-up unit of work, pumping further work through the
 //! stage logic (pooled triangle batches, recycled WPA flush buffers,
-//! pooled z-buffer bands, serial extraction into a warmed vector)
+//! pooled z-buffer bands, extraction into a warmed vector)
 //! performs no heap allocation at all, measured by a counting global
 //! allocator.
 //!
 //! The loop below mirrors what `dcapp`'s stages do per unit of work,
 //! driven through the same public APIs (`BufferPool`, `TriBatch`,
 //! `RaOut`, `ActivePixelBuffer::supply`, `merge_batch`,
-//! `extract_serial`); the filter wrappers themselves only add the
+//! `extract`); the filter wrappers themselves only add the
 //! emulation context, which is not part of the per-buffer hot path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dcapp::{BufferPool, RaOut, TriBatch};
-use isosurf::{extract_serial, merge_batch, ActivePixelBuffer, Triangle, WinningPixel, ZBuffer};
+use isosurf::{extract, merge_batch, ActivePixelBuffer, Triangle, WinningPixel, ZBuffer};
 use volume::{Dims, RectGrid};
 
 struct CountingAlloc;
@@ -105,7 +105,7 @@ fn pass(h: &mut Harness) {
 
     // E: extract into the warmed pending vector, drain into pooled batches.
     pending.clear();
-    extract_serial(grid, (0, 0, 0), 0.5, pending);
+    extract(grid, (0, 0, 0), 0.5, pending);
     while !pending.is_empty() {
         let n = pending.len().min(BATCH);
         let mut tris = tri_pool.take(BATCH);
